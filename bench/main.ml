@@ -8,6 +8,7 @@
      dune exec bench/main.exe -- table2 figure1 epsilon
      dune exec bench/main.exe -- full         # larger budgets
      dune exec bench/main.exe -- micro        # Bechamel micro benches
+     dune exec bench/main.exe -- layers       # BSAT layer guard
 
    Budgets are scaled so the default run finishes in minutes on a
    laptop; EXPERIMENTS.md records settings and committed outputs. The
@@ -971,6 +972,126 @@ let run_obs ~budget () =
   end
 
 (* ------------------------------------------------------------------ *)
+(* Layer guard: where a hashed draw's time goes, layer by layer, on a
+   fixed set of draws. BSAT self time is the enumeration span minus
+   the solver and XOR-layer spans inside it; the target fails when it
+   reaches [layers_max_self_share] of the enumeration time, so a
+   hot spot in the loop around the solver cannot return unnoticed.
+   Writes BENCH_layers.json. *)
+
+let layers_draws = 40
+let layers_max_self_share = 0.5
+
+let run_layers () =
+  section
+    (Printf.sprintf
+       "Layer guard: per-draw layer times on case_m1, %d draws (writes \
+        BENCH_layers.json)"
+       layers_draws);
+  let name = "case_m1" in
+  let f =
+    match Workload.Suite.by_name name with
+    | Some i -> Lazy.force i.Workload.Suite.formula
+    | None -> failwith "instance missing"
+  in
+  let prepared =
+    match Sampling.Unigen.prepare ~rng:(Rng.create 7) ~epsilon:6.0 f with
+    | Ok p -> p
+    | Error _ -> failwith "layers: prepare failed"
+  in
+  let portable = Sampling.Unigen.export prepared in
+  (* every pass draws from a fresh copy of the preparation, so the two
+     passes do the same solver work *)
+  let draw_all () =
+    let p = Sampling.Unigen.import ~formula:f portable in
+    List.init layers_draws (fun i ->
+        match fst (Sampling.Unigen.sample_index ~max_attempts:20 ~seed:7 p i) with
+        | Ok m -> Cnf.Model.key m
+        | Error _ -> "<fail>")
+  in
+  let digest keys = Digest.to_hex (Digest.string (String.concat ";" keys)) in
+  (* pass 1, recording off: wall time, allocation, witnesses *)
+  Obs.Metrics.disable ();
+  let w0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  let plain = draw_all () in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  let minor_words = Gc.minor_words () -. w0 in
+  (* pass 2, recording on: span times *)
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  let recorded = draw_all () in
+  Obs.Metrics.disable ();
+  let snapshot = Obs.Metrics.snapshot () in
+  let span_s name =
+    match
+      List.assoc_opt (Obs.Metrics.span_prefix ^ name) snapshot.Obs.Metrics.histograms
+    with
+    | Some h -> h.Obs.Metrics.Hist.sum
+    | None -> 0.0
+  in
+  let enumerate_s = span_s "bsat.session.enumerate" in
+  let solve_s = span_s "solver.solve" in
+  let push_s = span_s "xor_layer.push" and pop_s = span_s "xor_layer.pop" in
+  let self_s = enumerate_s -. solve_s -. push_s -. pop_s in
+  let self_share = if enumerate_s > 0.0 then self_s /. enumerate_s else 0.0 in
+  let per_draw_ms s = s /. float_of_int layers_draws *. 1000.0 in
+  let identical = plain = recorded in
+  let failures = List.length (List.filter (String.equal "<fail>") plain) in
+  Printf.printf "  %-26s %10s\n" "per draw" "ms";
+  List.iter
+    (fun (label, s) -> Printf.printf "  %-26s %10.3f\n" label (per_draw_ms s))
+    [ ("wall (recording off)", wall_s); ("bsat.session.enumerate", enumerate_s);
+      ("solver.solve", solve_s); ("xor_layer.push", push_s);
+      ("xor_layer.pop", pop_s); ("bsat self", self_s) ];
+  Printf.printf "  minor words per draw: %.0f\n" (minor_words /. float_of_int layers_draws);
+  Printf.printf "  bsat self share: %.3f (bound < %.2f); witnesses bit-identical \
+                 on/off: %s\n%!"
+    self_share layers_max_self_share (if identical then "yes" else "NO");
+  let report = Obs.Report.create () in
+  Obs.Report.add_section report "workload"
+    Obs.Report.
+      [
+        ("instance", String name);
+        ("prepare_seed", Int 7);
+        ("epsilon", Float 6.0);
+        ("draw_seed", Int 7);
+        ("draws", Int layers_draws);
+        ("failed_draws", Int failures);
+        ("witness_digest", String (digest plain));
+        ("bit_identical", Bool identical);
+      ];
+  Obs.Report.add_section report "per_draw"
+    Obs.Report.
+      [
+        ("wall_ms", Float (per_draw_ms wall_s));
+        ("enumerate_ms", Float (per_draw_ms enumerate_s));
+        ("solve_ms", Float (per_draw_ms solve_s));
+        ("xor_layer_push_ms", Float (per_draw_ms push_s));
+        ("xor_layer_pop_ms", Float (per_draw_ms pop_s));
+        ("bsat_self_ms", Float (per_draw_ms self_s));
+        ("minor_kwords", Float (minor_words /. float_of_int layers_draws /. 1000.0));
+      ];
+  Obs.Report.add_section report "guard"
+    Obs.Report.
+      [
+        ("bsat_self_share", Float self_share);
+        ("max_bsat_self_share", Float layers_max_self_share);
+        ("pass", Bool (self_share < layers_max_self_share));
+      ];
+  Obs.Report.write_json "BENCH_layers.json" report;
+  print_endline "\nwrote BENCH_layers.json";
+  if not identical then begin
+    prerr_endline "FAILURE: recording changed the sampled witnesses";
+    exit 1
+  end;
+  if self_share >= layers_max_self_share then begin
+    Printf.eprintf "FAILURE: BSAT self time is %.2f of enumeration time (bound %.2f)\n"
+      self_share layers_max_self_share;
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Sampling service daemon: cold vs warm request latency against a
    live forked daemon (the warm request reuses the cached preparation,
    so the gap is the amortised ApproxMC cost), then queue wait under
@@ -1336,12 +1457,12 @@ let () =
     [ "table1"; "table2"; "figure1"; "epsilon"; "baselines"; "parallel";
       "incremental"; "ablation-support"; "ablation-sparse"; "ablation-blocking";
       "ablation-leapfrog"; "ablation-amortise"; "ablation-preprocess"; "obs";
-      "service"; "micro" ]
+      "service"; "layers"; "micro" ]
   in
   let default = [ "table1"; "figure1"; "epsilon"; "baselines"; "parallel";
                   "incremental"; "obs"; "service"; "ablation-support";
                   "ablation-sparse"; "ablation-blocking"; "ablation-leapfrog";
-                  "ablation-amortise"; "ablation-preprocess"; "micro" ]
+                  "ablation-amortise"; "ablation-preprocess"; "layers"; "micro" ]
   in
   let targets = if targets = [] then default else targets in
   List.iter
@@ -1364,6 +1485,7 @@ let () =
       | "incremental" -> run_incremental ~budget ()
       | "obs" -> run_obs ~budget ()
       | "service" -> run_service ~budget ()
+      | "layers" -> run_layers ()
       | "ablation-support" -> run_ablation_support ~budget ()
       | "ablation-sparse" -> run_ablation_sparse ~budget ()
       | "ablation-blocking" -> run_ablation_blocking ()

@@ -81,8 +81,7 @@ let () =
       | Sat.Solver.Sat ->
           let m = Sat.Solver.model solver in
           let block =
-            Array.to_list inputs
-            |> List.map (fun v -> Cnf.Lit.make v (not (Cnf.Model.value m v)))
+            Array.map (fun v -> Cnf.Lit.make v (not (Cnf.Model.value m v))) inputs
           in
           Sat.Solver.add_clause solver block;
           Some (high_nibble m inputs)

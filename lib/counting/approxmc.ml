@@ -66,16 +66,15 @@ let core ?deadline ?(incremental = true) ?(gauss = true) ~rng ~pivot ~start f =
     let out =
       match session with
       | Some s ->
-          Sat.Bsat.Session.enumerate ?deadline
+          Sat.Bsat.Session.count ?deadline
             ~xors:(Hashing.Hxor.constraints h) ~limit:(pivot + 1) s
       | None ->
           let g = Cnf.Formula.add_xors f (Hashing.Hxor.constraints h) in
-          Sat.Bsat.enumerate ?deadline ~gauss ~limit:(pivot + 1) g
+          Sat.Bsat.count ?deadline ~gauss ~limit:(pivot + 1) g
     in
     stats := Sat.Solver.stats_add !stats out.Sat.Bsat.stats;
     if out.Sat.Bsat.reused then incr reuse;
-    Obs.Metrics.observe h_cell_size
-      (float_of_int (List.length out.Sat.Bsat.models));
+    Obs.Metrics.observe h_cell_size (float_of_int out.Sat.Bsat.count);
     out
   in
   let rec try_size i =
@@ -84,7 +83,7 @@ let core ?deadline ?(incremental = true) ?(gauss = true) ~rng ~pivot ~start f =
     else begin
       let out = run_bsat i in
       if out.Sat.Bsat.timed_out then raise Deadline;
-      let count = List.length out.Sat.Bsat.models in
+      let count = out.Sat.Bsat.count in
       if count >= 1 && count <= pivot && out.Sat.Bsat.exhausted then
         Some (float_of_int count *. (2.0 ** float_of_int i), i)
       else try_size (i + 1)
@@ -125,10 +124,10 @@ let count ?deadline ?(leapfrog = false) ?(incremental = true) ?(gauss = true)
   let t = match iterations with Some t -> t | None -> iterations_of_delta delta in
   try
     (* Easy case: few enough witnesses to enumerate exactly. *)
-    let out = Sat.Bsat.enumerate ?deadline ~gauss ~limit:(pivot + 1) f in
+    let out = Sat.Bsat.count ?deadline ~gauss ~limit:(pivot + 1) f in
     if out.Sat.Bsat.timed_out then Error Timed_out
     else begin
-      let n0 = List.length out.Sat.Bsat.models in
+      let n0 = out.Sat.Bsat.count in
       if n0 = 0 then Error Unsat
       else if out.Sat.Bsat.exhausted then
         Ok

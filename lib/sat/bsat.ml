@@ -1,3 +1,12 @@
+type tally = {
+  count : int;
+  exhausted : bool;
+  timed_out : bool;
+  conflicts : int;
+  stats : Solver.stats;
+  reused : bool;
+}
+
 type outcome = {
   models : Cnf.Model.t list;
   exhausted : bool;
@@ -14,13 +23,30 @@ type outcome = {
    independent as SETS, so sorting makes the outcome — and everything
    downstream that indexes into it, like UniGen's uniform pick — a
    pure function of the formula, restoring bit-identity between the
-   fresh and session paths and across parallel schedules. *)
-let sort_models ms =
-  List.sort (fun a b -> String.compare (Cnf.Model.key a) (Cnf.Model.key b)) ms
+   fresh and session paths and across parallel schedules. Every model
+   of one cell is over the same variables, so value order is key
+   order without building the keys. *)
+let sort_models ms = List.sort Cnf.Model.compare ms
 
-let empty_outcome ~reused ~stats =
-  { models = []; exhausted = true; timed_out = false; conflicts = 0;
-    stats; reused }
+(* Re-check a witness (over the solver's variables, activation
+   variables included) against the compiled base formula [check] and
+   the hash layer [layer]; the report shows it cut to [support]. *)
+let verify check ~layer ~support ~found m =
+  match Cnf.Model.violation check ~xors:layer m with
+  | None -> ()
+  | Some where ->
+      let where =
+        match where with
+        | `Clause i -> ("clause", string_of_int i)
+        | `Xor i -> ("xor", string_of_int i)
+        | `Hash_row i -> ("hash_row", string_of_int i)
+      in
+      let m = Cnf.Model.prefix support m in
+      Audit.fail ~invariant:"model-audit"
+        ~detail:"Bsat.enumerate: solver returned a witness falsifying the formula"
+        [ where;
+          ("witness", String.concat " " (List.map string_of_int (Cnf.Model.to_dimacs m)));
+          ("found_so_far", string_of_int found) ]
 
 (* Row-reduce the XOR system before loading the solver: RREF preserves
    the solution set exactly and typically shortens dense hash rows a
@@ -41,9 +67,13 @@ let c_blocking_clauses = Obs.Metrics.counter "bsat.blocking_clauses"
 let c_enumerations = Obs.Metrics.counter "bsat.enumerations"
 
 (* The blocking-clause enumeration loop, shared by the one-shot and
-   session paths. [add_block] persists a blocking clause; [verify] is
-   the formula the witnesses must satisfy. *)
-let enum_loop ?deadline ~limit ~blocking ~verify ~add_block ~truncate solver =
+   session paths and by the enumerate and count modes. Each witness is
+   re-checked against [check] and the XOR rows [layer], then blocked on
+   its [blocking] projection through [add_block]. With [keep] the
+   witnesses, cut down to [support] (the formula's own variables), are
+   returned; without it only their number is. *)
+let enum_loop ?deadline ~keep ~limit ~blocking ~check ~layer ~support ~add_block
+    solver =
   Obs.Metrics.incr c_enumerations;
   let audit = Audit.is_enabled () in
   (* projected keys of the witnesses found so far: with audit mode on,
@@ -52,19 +82,14 @@ let enum_loop ?deadline ~limit ~blocking ~verify ~add_block ~truncate solver =
      was lost or never took effect) *)
   let seen_keys = Hashtbl.create (if audit then 64 else 1) in
   let rec loop acc found =
-    if found >= limit then (List.rev acc, `Cut)
+    if found >= limit then (acc, found, `Cut)
     else
       match Solver.solve ?deadline solver with
-      | Solver.Unsat -> (List.rev acc, `Exhausted)
-      | Solver.Unknown -> (List.rev acc, `Timeout)
+      | Solver.Unsat -> (acc, found, `Exhausted)
+      | Solver.Unknown -> (acc, found, `Timeout)
       | Solver.Sat ->
-          let m = truncate (Solver.model solver) in
-          if not (Cnf.Model.satisfies verify m) then
-            Audit.fail ~invariant:"model-audit"
-              ~detail:"Bsat.enumerate: solver returned a witness falsifying the formula"
-              [ ("witness",
-                 String.concat " " (List.map string_of_int (Cnf.Model.to_dimacs m)));
-                ("found_so_far", string_of_int found) ];
+          let m = Solver.model solver in
+          verify check ~layer ~support ~found m;
           if audit then begin
             let k = Cnf.Model.key (Cnf.Model.restrict m blocking) in
             if Hashtbl.mem seen_keys k then
@@ -72,22 +97,22 @@ let enum_loop ?deadline ~limit ~blocking ~verify ~add_block ~truncate solver =
                 ~detail:
                   "Bsat.enumerate: witness repeats a projection already excluded by a blocking clause"
                 [ ("witness",
-                   String.concat " " (List.map string_of_int (Cnf.Model.to_dimacs m)));
+                   String.concat " "
+                     (List.map string_of_int
+                        (Cnf.Model.to_dimacs (Cnf.Model.prefix support m))));
                   ("found_so_far", string_of_int found) ];
             Hashtbl.add seen_keys k ()
           end;
           (* block this witness on the projection *)
-          let block =
-            Array.to_list blocking
-            |> List.map (fun v -> Cnf.Lit.make v (not (Cnf.Model.value m v)))
-          in
           Obs.Metrics.incr c_blocking_clauses;
-          add_block block;
-          loop (m :: acc) (found + 1)
+          add_block (Array.map (fun v -> Cnf.Lit.make v (not (Cnf.Model.value m v))) blocking);
+          loop (if keep then Cnf.Model.prefix support m :: acc else acc) (found + 1)
   in
   loop [] 0
 
-let outcome_of ~reused ~stats (models, status) =
+(* Distinct witnesses compare unequal, so the sorted list does not
+   depend on the order they were found in. *)
+let outcome_of ~reused ~stats (models, _, status) =
   {
     models = sort_models models;
     exhausted = status = `Exhausted;
@@ -97,7 +122,21 @@ let outcome_of ~reused ~stats (models, status) =
     reused;
   }
 
-let enumerate ?deadline ?blocking_vars ?(gauss = true) ~limit (f : Cnf.Formula.t) =
+let tally_of ~reused ~stats (_, count, status) =
+  {
+    count;
+    exhausted = status = `Exhausted;
+    timed_out = status = `Timeout;
+    conflicts = stats.Solver.conflicts;
+    stats;
+    reused;
+  }
+
+(* The result of a call that needs no search: no witness exists. *)
+let nothing = ([], 0, `Exhausted)
+
+let fresh ?deadline ?blocking_vars ?(gauss = true) ~keep ~limit ~finish
+    (f : Cnf.Formula.t) =
   Obs.Trace.span ~cat:"sat" "bsat.enumerate"
     ~args:[ ("limit", string_of_int limit) ]
   @@ fun () ->
@@ -110,26 +149,32 @@ let enumerate ?deadline ?blocking_vars ?(gauss = true) ~limit (f : Cnf.Formula.t
      reduction as rows are added, so the static pre-pass would be
      redundant work; it remains the 2-watch path's preparation. *)
   match (if gauss then `Reduced f else reduce_xors f) with
-  | `Unsat -> empty_outcome ~reused:false ~stats:Solver.stats_zero
+  | `Unsat -> finish ~reused:false ~stats:Solver.stats_zero nothing
   | `Reduced reduced ->
       let solver = Solver.create ~gauss reduced in
       let res =
-        enum_loop ?deadline ~limit ~blocking ~verify:f
+        enum_loop ?deadline ~keep ~limit ~blocking ~check:(Cnf.Model.compile f) ~layer:[]
+          ~support:(Cnf.Model.support f.Cnf.Formula.num_vars)
           ~add_block:(Solver.add_clause solver)
-          ~truncate:(fun m -> m)
           solver
       in
-      outcome_of ~reused:false ~stats:(Solver.stats solver) res
+      finish ~reused:false ~stats:(Solver.stats solver) res
 
-let count_upto ?deadline ?gauss ~limit f =
-  List.length (enumerate ?deadline ?gauss ~limit f).models
+let enumerate ?deadline ?blocking_vars ?gauss ~limit f =
+  fresh ?deadline ?blocking_vars ?gauss ~keep:true ~limit ~finish:outcome_of f
+
+let count ?deadline ?blocking_vars ?gauss ~limit f =
+  fresh ?deadline ?blocking_vars ?gauss ~keep:false ~limit ~finish:tally_of f
+
+let count_upto ?deadline ?gauss ~limit f = (count ?deadline ?gauss ~limit f).count
 
 module Session = struct
   type t = {
-    formula : Cnf.Formula.t; (* original (pre-RREF), for verification *)
+    formula : Cnf.Formula.t; (* original (pre-RREF) *)
+    check : Cnf.Model.check; (* [formula], compiled for the witness re-check *)
+    support : Cnf.Model.support; (* the formula's variables 1 .. base_vars *)
     blocking : int array;
     solver : Solver.t option; (* None: base XOR system inconsistent *)
-    base_vars : int; (* formula width, before activation variables *)
     gauss : bool; (* XOR engine: in-search matrix vs static RREF + 2-watch *)
     mutable calls : int;
     owner : Audit.Ownership.t; (* sessions are single-domain resources *)
@@ -146,7 +191,8 @@ module Session = struct
       | `Unsat -> None
       | `Reduced reduced -> Some (Solver.create ~gauss reduced)
     in
-    { formula = f; blocking; solver; base_vars = f.Cnf.Formula.num_vars;
+    { formula = f; check = Cnf.Model.compile f;
+      support = Cnf.Model.support f.Cnf.Formula.num_vars; blocking; solver;
       gauss; calls = 0; owner = Audit.Ownership.create "Bsat.Session" }
 
   let calls s = s.calls
@@ -158,6 +204,9 @@ module Session = struct
     match s.solver with
     | None -> Solver.stats_zero
     | Some solver -> Solver.stats solver
+
+  let verify ?(xors = []) s m =
+    verify s.check ~layer:xors ~support:s.support ~found:0 m
 
   (* Reduce a hash layer on its own. The one-shot path row-reduces the
      base and the layer as one system; reducing them separately spans
@@ -171,7 +220,7 @@ module Session = struct
         | Error `Unsat -> `Unsat
         | Ok r -> `Rows r.Cnf.Xor_gauss.rows)
 
-  let enumerate ?deadline ?(xors = []) ?(persist_blocking = false) ~limit s =
+  let run ?deadline ?(xors = []) ?(persist_blocking = false) ~keep ~limit ~finish s =
     Obs.Trace.span ~cat:"sat" "bsat.session.enumerate"
       ~args:
         [ ("limit", string_of_int limit);
@@ -181,7 +230,7 @@ module Session = struct
     let reused = s.calls > 0 in
     s.calls <- s.calls + 1;
     match s.solver with
-    | None -> empty_outcome ~reused ~stats:Solver.stats_zero
+    | None -> finish ~reused ~stats:Solver.stats_zero nothing
     | Some solver -> (
         let before = Solver.stats solver in
         (* Gauss engine: hand the raw layer to the matrix (a layer swap
@@ -189,14 +238,8 @@ module Session = struct
            each row against its basis as it arrives). *)
         match (if s.gauss then `Rows xors else reduce_layer xors) with
         | `Unsat ->
-            empty_outcome ~reused
-              ~stats:(Solver.stats_diff (Solver.stats solver) before)
+            finish ~reused ~stats:(Solver.stats_diff (Solver.stats solver) before) nothing
         | `Rows rows ->
-            let verify = Cnf.Formula.add_xors s.formula xors in
-            let truncate m =
-              if Cnf.Model.num_vars m = s.base_vars then m
-              else Cnf.Model.make s.base_vars (fun v -> Cnf.Model.value m v)
-            in
             (* Everything this call adds — the XOR layer and, unless
                persisted, the blocking clauses — lives in one group
                popped on the way out, leaving only learnt clauses
@@ -215,10 +258,14 @@ module Session = struct
                   Obs.Trace.span ~cat:"sat" "xor_layer.push"
                     ~args:[ ("rows", string_of_int (List.length rows)) ]
                     (fun () -> List.iter (Solver.add_group_xor solver) rows);
-                  enum_loop ?deadline ~limit ~blocking:s.blocking ~verify
-                    ~add_block ~truncate solver)
+                  enum_loop ?deadline ~keep ~limit ~blocking:s.blocking ~check:s.check
+                    ~layer:xors ~support:s.support ~add_block solver)
             in
-            outcome_of ~reused
-              ~stats:(Solver.stats_diff (Solver.stats solver) before)
-              res)
+            finish ~reused ~stats:(Solver.stats_diff (Solver.stats solver) before) res)
+
+  let enumerate ?deadline ?xors ?persist_blocking ~limit s =
+    run ?deadline ?xors ?persist_blocking ~keep:true ~limit ~finish:outcome_of s
+
+  let count ?deadline ?xors ?persist_blocking ~limit s =
+    run ?deadline ?xors ?persist_blocking ~keep:false ~limit ~finish:tally_of s
 end

@@ -16,9 +16,22 @@
     outcomes (models as sets, counts, exhaustion) on the same
     enumeration problem. *)
 
+type tally = {
+  count : int;  (** number of distinct projected witnesses found *)
+  exhausted : bool;
+  timed_out : bool;
+  conflicts : int;
+  stats : Solver.stats;
+  reused : bool;
+}
+(** The outcome of a count-only enumeration: the fields mean what they
+    mean in {!outcome}, and [count] is the length [models] would have
+    had. *)
+
 type outcome = {
   models : Cnf.Model.t list;
-      (** in canonical (model-key) order — deliberately {e not}
+      (** in canonical order ({!Cnf.Model.compare}, which is the
+          order of the models' keys) — deliberately {e not}
           discovery order, so that the outcome is independent of
           solver history (fresh vs. warm session, serial vs.
           parallel schedule) whenever the witness set itself is *)
@@ -51,9 +64,20 @@ val enumerate :
     [blocking-set]): a repeated projection is reported instead of
     silently skewing the enumeration. *)
 
+val count :
+  ?deadline:float ->
+  ?blocking_vars:int array ->
+  ?gauss:bool ->
+  limit:int ->
+  Cnf.Formula.t ->
+  tally
+(** {!enumerate} without the models: the solver sees the same clauses
+    in the same order and every witness is re-checked the same way,
+    but no model is kept and none is sorted. *)
+
 val count_upto : ?deadline:float -> ?gauss:bool -> limit:int -> Cnf.Formula.t -> int
 (** [count_upto ~limit f] is [min (number of distinct projected
-    witnesses) limit]; convenience wrapper over {!enumerate}. *)
+    witnesses) limit]; convenience wrapper over {!count}. *)
 
 (** Persistent enumeration sessions: one CDCL solver reused across
     many [BSAT(F ∧ h, N)] calls that share the base formula [F] and
@@ -85,8 +109,26 @@ module Session : sig
       the returned witnesses from every later call — the incremental
       form of UniGen's loop-free sampling within one leaf. *)
 
+  val count :
+    ?deadline:float ->
+    ?xors:Cnf.Xor_clause.t list ->
+    ?persist_blocking:bool ->
+    limit:int ->
+    t ->
+    tally
+  (** {!enumerate} without the models, as {!Bsat.count} is to
+      {!Bsat.enumerate}. *)
+
+  val verify : ?xors:Cnf.Xor_clause.t list -> t -> Cnf.Model.t -> unit
+  (** The re-check every call runs on each witness it finds: the model
+      against the base clauses, the base XORs and the hash layer
+      [xors], read from the base formula compiled once into flat
+      arrays at {!create}.
+      @raise Audit.Violation with invariant [model-audit] on the first
+      falsified constraint. *)
+
   val calls : t -> int
-  (** Number of [enumerate] calls served so far. *)
+  (** Number of [enumerate] and [count] calls served so far. *)
 
   val stats : t -> Solver.stats
   (** Cumulative statistics of the underlying solver. *)

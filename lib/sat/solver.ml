@@ -120,6 +120,7 @@ type t = {
   mutable cla_inc : float;
   mutable model_valid : bool;
   mutable saved_model : Cnf.Model.t option;
+  mutable model_support : Cnf.Model.support; (* variables 1 .. nvars *)
   mutable n_conflicts : int;
   mutable n_decisions : int;
   mutable n_propagations : int;
@@ -214,6 +215,7 @@ let create_empty ?(gauss = true) nvars =
       cla_inc = 1.0;
       model_valid = false;
       saved_model = None;
+      model_support = Cnf.Model.support nvars;
       n_conflicts = 0;
       n_decisions = 0;
       n_propagations = 0;
@@ -531,6 +533,7 @@ let new_var t =
   let v = t.nvars + 1 in
   grow t v;
   t.nvars <- v;
+  t.model_support <- Cnf.Model.support v;
   Order_heap.insert t.order v;
   v
 
@@ -1144,38 +1147,52 @@ let install_xor t x =
     if parity <> x.xrhs then mark_broken t (conflict_group_of t (C_xor x))
   end
 
-(* Normalize raw int literals for insertion into [group]: sort, dedup,
-   detect tautologies, substitute level-0 facts of groups <= [group].
-   [None] = the clause is already satisfied (or tautological). *)
-let normalize_for_group t group raw =
-  let sorted = List.sort_uniq Int.compare raw in
-  let rec scan acc = function
-    | [] -> Some (List.rev acc)
-    | l :: rest ->
-        if List.mem (lit_neg l) rest then None
-        else begin
-          match value_lit_upto t group l with
-          | 1 -> None
-          | -1 -> scan acc rest
-          | _ -> scan (l :: acc) rest
-        end
+(* Normalize a clause for insertion into [group]: sort, dedup, detect
+   tautologies, substitute level-0 facts of groups <= [group]. The
+   result keeps the surviving literals in ascending order, followed by
+   [extra] slots (left 0) for the caller to fill. [None] = the clause
+   is already satisfied (or tautological). *)
+let normalize_for_group ?(extra = 0) t group (lits : Cnf.Clause.t) =
+  let raw = Array.map (fun (l : Cnf.Lit.t) -> (l :> int)) lits in
+  Array.sort Int.compare raw;
+  let n = Array.length raw in
+  (* sorted, the two literals of one variable (2v, 2v+1) are adjacent;
+     kept literals only move down, so [raw.(i - 1)] still holds its
+     sorted value here *)
+  let rec scan i kept =
+    if i = n then Some kept
+    else
+      let l = raw.(i) in
+      if i > 0 && raw.(i - 1) = l then scan (i + 1) kept
+      else if i > 0 && raw.(i - 1) = lit_neg l then None
+      else
+        match value_lit_upto t group l with
+        | 1 -> None
+        | -1 -> scan (i + 1) kept
+        | _ ->
+            raw.(kept) <- l;
+            scan (i + 1) (kept + 1)
   in
-  scan [] sorted
+  match scan 0 0 with
+  | None -> None
+  | Some kept ->
+      let out = Array.make (kept + extra) 0 in
+      Array.blit raw 0 out 0 kept;
+      Some out
 
 let add_clause t lits =
   require_root t "Solver.add_clause";
   Audit.Ownership.check t.owner;
   if t.ok then begin
-    let raw = List.map (fun l -> (Cnf.Lit.to_index l : int)) lits in
-    match normalize_for_group t 0 raw with
+    match normalize_for_group t 0 lits with
     | None -> ()
-    | Some [] -> mark_broken t 0
-    | Some [ l ] -> assert_unit_core t ~group:0 l
-    | Some (_ :: _ :: _ as ls) ->
+    | Some [||] -> mark_broken t 0
+    | Some [| l |] -> assert_unit_core t ~group:0 l
+    | Some ls ->
         install_clause t
           {
             cid = fresh_cid t;
-            lits = Array.of_list ls;
+            lits = ls;
             learnt = false;
             group = 0;
             activity = 0.;
@@ -1230,7 +1247,7 @@ let add_xor t (x : Cnf.Xor_clause.t) =
 
 let create ?gauss (f : Cnf.Formula.t) =
   let t = create_empty ?gauss f.num_vars in
-  Array.iter (fun c -> add_clause t (Array.to_list c)) f.clauses;
+  Array.iter (add_clause t) f.clauses;
   Array.iter (fun x -> add_xor t x) f.xors;
   t
 
@@ -1258,20 +1275,21 @@ let add_group_clause t lits =
   | a :: _ ->
       if t.ok then begin
         let g = List.length t.groups in
-        let raw = List.map (fun l -> (Cnf.Lit.to_index l : int)) lits in
-        match normalize_for_group t g raw with
+        (* one spare slot for the guard literal *)
+        match normalize_for_group ~extra:1 t g lits with
         | None -> ()
-        | Some [] ->
+        | Some [| _ |] ->
             (* the clause body is false given groups <= g: with the
                guard appended, this is the unit fact (a) at group g —
                solving under the activation assumption ¬a will report
                Unsat through the failed-assumption path *)
             assert_unit_core t ~group:g (lit_of_var a true)
         | Some ls ->
+            ls.(Array.length ls - 1) <- lit_of_var a true;
             install_clause t
               {
                 cid = fresh_cid t;
-                lits = Array.of_list (ls @ [ lit_of_var a true ]);
+                lits = ls;
                 learnt = false;
                 group = g;
                 activity = 0.;
@@ -1508,7 +1526,8 @@ let solve ?(conflict_limit = max_int) ?deadline ?(assumptions = []) t =
             match search t ~assumps ~budget ~deadline with
             | S_sat ->
                 let m =
-                  Cnf.Model.make t.nvars (fun v -> t.assigns.(v) = 1)
+                  Cnf.Model.of_values t.model_support
+                    (Array.init t.nvars (fun i -> t.assigns.(i + 1) = 1))
                 in
                 t.saved_model <- Some m;
                 t.model_valid <- true;
@@ -1600,8 +1619,10 @@ module Corrupt = struct
     match (t.model_valid, t.saved_model) with
     | true, Some m when t.nvars >= 1 ->
         let m' =
-          Cnf.Model.make t.nvars (fun v ->
-              if v = 1 then not (Cnf.Model.value m 1) else Cnf.Model.value m v)
+          Cnf.Model.of_values t.model_support
+            (Array.init t.nvars (fun i ->
+                 let v = i + 1 in
+                 if v = 1 then not (Cnf.Model.value m 1) else Cnf.Model.value m v))
         in
         t.saved_model <- Some m';
         true

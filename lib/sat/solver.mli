@@ -59,10 +59,11 @@ val new_var : t -> int
 (** Allocate a fresh variable (above every existing one) and return
     it. Only legal at decision level 0. *)
 
-val add_clause : t -> Cnf.Lit.t list -> unit
+val add_clause : t -> Cnf.Clause.t -> unit
 (** Add a clause to the base formula (group 0). May set
     [okay t = false]. Tautologies are ignored. Legal while groups are
-    pushed: the clause persists across [pop_group]. *)
+    pushed: the clause persists across [pop_group]. The array is
+    copied, not retained. *)
 
 val add_xor : t -> Cnf.Xor_clause.t -> unit
 
@@ -103,7 +104,7 @@ val pop_group : t -> unit
 
 val num_groups : t -> int
 
-val add_group_clause : t -> Cnf.Lit.t list -> unit
+val add_group_clause : t -> Cnf.Clause.t -> unit
 (** Add a clause to the innermost group (guarded by its activation
     literal). @raise Invalid_argument if no group is pushed. *)
 

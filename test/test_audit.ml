@@ -46,8 +46,8 @@ let test_detects_flipped_xor_parity () =
      targets the 2-watch engine — the matrix has its own injectors *)
   let s = Sat.Solver.create_empty ~gauss:false 3 in
   Sat.Solver.add_xor s (xor_c [ 1; 2; 3 ] false);
-  Sat.Solver.add_clause s [ Cnf.Lit.pos 1 ];
-  Sat.Solver.add_clause s [ Cnf.Lit.pos 2 ];
+  Sat.Solver.add_clause s [| Cnf.Lit.pos 1 |];
+  Sat.Solver.add_clause s [| Cnf.Lit.pos 2 |];
   Alcotest.(check bool) "sat" true (Sat.Solver.solve s = Sat.Solver.Sat);
   expect_applied "flip_xor_parity" (Sat.Solver.Corrupt.flip_xor_parity s);
   (* the flipped parity surfaces either as the xor no longer being
@@ -64,8 +64,8 @@ let test_detects_gauss_flipped_rhs () =
      which is the state flip_rhs corrupts *)
   let s = Sat.Solver.create_empty 3 in
   Sat.Solver.add_xor s (xor_c [ 1; 2; 3 ] true);
-  Sat.Solver.add_clause s [ Cnf.Lit.pos 1 ];
-  Sat.Solver.add_clause s [ Cnf.Lit.pos 2 ];
+  Sat.Solver.add_clause s [| Cnf.Lit.pos 1 |];
+  Sat.Solver.add_clause s [| Cnf.Lit.pos 2 |];
   expect_applied "gauss_flip_rhs" (Sat.Solver.Corrupt.gauss_flip_rhs s);
   expect_violation "gauss_flip_rhs" [ "gauss-detached"; "reason-consistency" ]
     (fun () -> Sat.Solver.check_invariants s)

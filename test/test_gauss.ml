@@ -90,7 +90,7 @@ let prop_fixpoint_matches_static_rref =
              let v = 1 + Rng.int rng num_vars in
              let b = Rng.bool rng in
              units := (v, b) :: !units;
-             Sat.Solver.add_clause s [ Cnf.Lit.make v b ];
+             Sat.Solver.add_clause s [| Cnf.Lit.make v b |];
              let expect_unsat, closure = static_closure rows !units in
              if expect_unsat then begin
                if Sat.Solver.okay s then begin

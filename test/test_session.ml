@@ -36,8 +36,8 @@ let test_pop_rescinds_group_unsat () =
   let f = Cnf.Formula.create ~num_vars:3 [ Cnf.Clause.of_dimacs [ 1; 2 ] ] in
   let s = Sat.Solver.create f in
   Sat.Solver.push_group s;
-  Sat.Solver.add_group_clause s [ Cnf.Lit.pos 3 ];
-  Sat.Solver.add_group_clause s [ Cnf.Lit.neg 3 ];
+  Sat.Solver.add_group_clause s [| Cnf.Lit.pos 3 |];
+  Sat.Solver.add_group_clause s [| Cnf.Lit.neg 3 |];
   Alcotest.(check bool) "group contradiction" true
     (Sat.Solver.solve s = Sat.Solver.Unsat);
   Sat.Solver.pop_group s;
@@ -50,10 +50,10 @@ let test_base_unit_shadowed_by_group () =
   let f = Cnf.Formula.create ~num_vars:2 [] in
   let s = Sat.Solver.create f in
   Sat.Solver.push_group s;
-  Sat.Solver.add_group_clause s [ Cnf.Lit.neg 1 ];
+  Sat.Solver.add_group_clause s [| Cnf.Lit.neg 1 |];
   Alcotest.(check bool) "group unit sat" true
     (Sat.Solver.solve s = Sat.Solver.Sat);
-  Sat.Solver.add_clause s [ Cnf.Lit.pos 1 ];
+  Sat.Solver.add_clause s [| Cnf.Lit.pos 1 |];
   Alcotest.(check bool) "base vs group contradiction" true
     (Sat.Solver.solve s = Sat.Solver.Unsat);
   Sat.Solver.pop_group s;
@@ -135,7 +135,7 @@ let prop_pop_restores =
             [ xor ]
         in
         Sat.Solver.push_group s;
-        List.iter (Sat.Solver.add_group_clause s) lits;
+        List.iter (fun c -> Sat.Solver.add_group_clause s (Array.of_list c)) lits;
         Sat.Solver.add_group_xor s xor;
         let expected = Sat.Brute.is_sat g in
         let ok =
@@ -241,6 +241,134 @@ let prop_session_matches_fresh =
       !ok)
 
 (* ------------------------------------------------------------------ *)
+(* Model order: the monomorphic comparator sorts exactly as the key
+   strings it replaced, without building them *)
+
+let sign x = Int.compare x 0
+
+let prop_model_compare_matches_key =
+  QCheck2.Test.make ~count:500 ~name:"Model.compare has the sign of key order"
+    QCheck2.Gen.(tup3 (int_range 1 40) (int_bound 1_000_000) bool)
+    (fun (n, seed, same) ->
+      let rng = Rng.create seed in
+      let draw () = Cnf.Model.make n (fun _ -> Rng.bool rng) in
+      let a = draw () in
+      let b = if same then a else draw () in
+      (* half the cases on a sparse (non-contiguous) support *)
+      let a, b =
+        if Rng.bool rng then (a, b)
+        else
+          let vars =
+            Array.of_list
+              (List.filter (fun _ -> Rng.bool rng) (List.init n (fun i -> i + 1)))
+          in
+          (Cnf.Model.restrict a vars, Cnf.Model.restrict b vars)
+      in
+      sign (Cnf.Model.compare a b)
+      = sign (String.compare (Cnf.Model.key a) (Cnf.Model.key b))
+      && sign (Cnf.Model.compare a b) = - sign (Cnf.Model.compare b a))
+
+let test_model_compare_rejects_mixed_supports () =
+  let raises a b =
+    match Cnf.Model.compare a b with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let m3 = Cnf.Model.make 3 (fun _ -> true) and m4 = Cnf.Model.make 4 (fun _ -> true) in
+  Alcotest.(check bool) "1..3 vs 1..4" true (raises m3 m4);
+  Alcotest.(check bool) "{1,2} vs {1,3}" true
+    (raises (Cnf.Model.restrict m4 [| 1; 2 |]) (Cnf.Model.restrict m4 [| 1; 3 |]));
+  Alcotest.(check bool) "{1,2,3} vs 1..3 is one support" false
+    (raises (Cnf.Model.restrict m4 [| 1; 2; 3 |]) m3)
+
+(* ------------------------------------------------------------------ *)
+(* Count-only enumeration: the same blocking loop without the models *)
+
+let prop_count_matches_enumerate =
+  QCheck2.Test.make ~count:200 ~name:"bsat count = length of enumerate"
+    QCheck2.Gen.(
+      tup3 Test_util.Gen.formula_spec (int_bound 100_000) (int_range 1 8))
+    (fun (spec, xseed, limit) ->
+      let f = Test_util.Gen.build_spec spec in
+      let rng = Rng.create xseed in
+      let agree (t : Sat.Bsat.tally) (o : Sat.Bsat.outcome) =
+        t.count = List.length o.models
+        && t.exhausted = o.exhausted && t.timed_out = o.timed_out
+      in
+      let counting = Sat.Bsat.Session.create f in
+      let listing = Sat.Bsat.Session.create f in
+      let ok = ref true in
+      for _ = 1 to 3 do
+        let xors =
+          List.init (Rng.int rng 3) (fun _ ->
+              Test_util.Gen.random_xor rng ~num_vars:f.Cnf.Formula.num_vars)
+        in
+        let g = Cnf.Formula.add_xors f xors in
+        if not (agree (Sat.Bsat.count ~limit g) (Sat.Bsat.enumerate ~limit g)) then
+          ok := false;
+        if
+          not
+            (agree
+               (Sat.Bsat.Session.count ~xors ~limit counting)
+               (Sat.Bsat.Session.enumerate ~xors ~limit listing))
+        then ok := false
+      done;
+      !ok)
+
+(* ------------------------------------------------------------------ *)
+(* The flat witness re-check: it agrees with [Model.satisfies] on the
+   base formula plus the hash layer, and a corrupted witness trips the
+   model-audit invariant *)
+
+let audit_invariant f =
+  match f () with
+  | () -> None
+  | exception Audit.Violation r -> Some r.Audit.invariant
+
+let prop_verify_matches_satisfies =
+  QCheck2.Test.make ~count:300 ~name:"session verify = Model.satisfies"
+    QCheck2.Gen.(pair Test_util.Gen.formula_spec (int_bound 100_000))
+    (fun (spec, mseed) ->
+      let f = Test_util.Gen.build_spec spec in
+      let nv = f.Cnf.Formula.num_vars in
+      let rng = Rng.create mseed in
+      let xors = List.init (Rng.int rng 3) (fun _ -> Test_util.Gen.random_xor rng ~num_vars:nv) in
+      let sess = Sat.Bsat.Session.create f in
+      let m = Cnf.Model.make nv (fun _ -> Rng.bool rng) in
+      let expected = Cnf.Model.satisfies (Cnf.Formula.add_xors f xors) m in
+      audit_invariant (fun () -> Sat.Bsat.Session.verify ~xors sess m)
+      = if expected then None else Some "model-audit")
+
+let test_corrupted_witness_trips_audit () =
+  (* x1 ∧ (x2 ⊕ x3 = 1), hash layer x3 ⊕ x4 = 0: flipping x1 breaks a
+     clause, x2 the base XOR, x4 only the layer row *)
+  let f =
+    Cnf.Formula.create_with_xors ~num_vars:4
+      [ Cnf.Clause.of_dimacs [ 1 ] ]
+      [ Cnf.Xor_clause.make [ 2; 3 ] true ]
+  in
+  let xors = [ Cnf.Xor_clause.make [ 3; 4 ] false ] in
+  let sess = Sat.Bsat.Session.create f in
+  let out = Sat.Bsat.Session.enumerate ~xors ~limit:10 sess in
+  Alcotest.(check int) "two witnesses" 2 (List.length out.Sat.Bsat.models);
+  List.iter
+    (fun m ->
+      Alcotest.(check (option string)) "witness passes" None
+        (audit_invariant (fun () -> Sat.Bsat.Session.verify ~xors sess m));
+      List.iter
+        (fun flip ->
+          let bad =
+            Cnf.Model.make 4 (fun v ->
+                if v = flip then not (Cnf.Model.value m v) else Cnf.Model.value m v)
+          in
+          Alcotest.(check (option string))
+            (Printf.sprintf "flipped x%d" flip)
+            (Some "model-audit")
+            (audit_invariant (fun () -> Sat.Bsat.Session.verify ~xors sess bad)))
+        [ 1; 2; 4 ])
+    out.Sat.Bsat.models
+
+(* ------------------------------------------------------------------ *)
 (* End-to-end differential: ApproxMC and UniGen give bit-identical
    results with and without incremental sessions *)
 
@@ -300,6 +428,9 @@ let qcheck_cases =
       prop_pop_restores;
       prop_blocking_survives_swaps;
       prop_session_matches_fresh;
+      prop_model_compare_matches_key;
+      prop_count_matches_enumerate;
+      prop_verify_matches_satisfies;
     ]
 
 let () =
@@ -312,6 +443,13 @@ let () =
             test_pop_rescinds_group_unsat;
           Alcotest.test_case "base unit shadowed by group" `Quick
             test_base_unit_shadowed_by_group;
+        ] );
+      ( "witnesses",
+        [
+          Alcotest.test_case "model compare rejects mixed supports" `Quick
+            test_model_compare_rejects_mixed_supports;
+          Alcotest.test_case "corrupted witness trips model-audit" `Quick
+            test_corrupted_witness_trips_audit;
         ] );
       ("properties", qcheck_cases);
       ( "differential",
