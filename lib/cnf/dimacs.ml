@@ -15,6 +15,14 @@ let parse_string text =
   let xors = ref [] in
   let sampling = ref [] in
   let have_sampling = ref false in
+  (* every variable must lie in the header's range; references on
+     lines before the header wait for it *)
+  let deferred = ref [] in
+  let check_var lineno v =
+    if !num_vars < 0 then deferred := (lineno, v) :: !deferred
+    else if v < 1 || v > !num_vars then
+      fail "line %d: variable %d out of range 1..%d" lineno v !num_vars
+  in
   let parse_ints what toks =
     List.map
       (fun s ->
@@ -23,52 +31,58 @@ let parse_string text =
         | None -> fail "bad integer %S in %s line" s what)
       toks
   in
-  let add_clause toks =
+  let add_clause lineno toks =
     let ints = parse_ints "clause" toks in
     match List.rev ints with
     | 0 :: rev_lits ->
+        List.iter (fun l -> check_var lineno (abs l)) rev_lits;
+        if List.mem 0 rev_lits then fail "line %d: literal 0 inside a clause" lineno;
         let lits = List.rev_map Lit.of_dimacs rev_lits in
         clauses := Array.of_list lits :: !clauses
     | _ -> fail "clause line not terminated by 0"
   in
-  let add_xor toks =
+  let add_xor lineno toks =
     let ints = parse_ints "xor" toks in
     match List.rev ints with
     | 0 :: rev_lits ->
         (* Each negative literal flips the right-hand side once:
            ¬a ⊕ b = c  ⇔  a ⊕ b = ¬c. *)
         let vars = List.rev_map abs rev_lits in
+        List.iter (check_var lineno) vars;
         let flips = List.length (List.filter (fun i -> i < 0) rev_lits) in
         let rhs = flips mod 2 = 0 in
         xors := Xor_clause.make vars rhs :: !xors
     | _ -> fail "xor line not terminated by 0"
   in
-  let add_sampling toks =
+  let add_sampling lineno toks =
     let ints = parse_ints "c ind" toks in
     match List.rev ints with
     | 0 :: rev_vars ->
+        List.iter (check_var lineno) rev_vars;
         have_sampling := true;
         sampling := List.rev_append rev_vars !sampling
     | [] -> ()
     | _ -> fail "c ind line not terminated by 0"
   in
-  List.iter
-    (fun raw ->
+  List.iteri
+    (fun i raw ->
+      let lineno = i + 1 in
       let line = String.trim raw in
       if line = "" then ()
       else
         match tokens_of_line line with
         | [] -> ()
-        | "c" :: "ind" :: rest -> add_sampling rest
+        | "c" :: "ind" :: rest -> add_sampling lineno rest
         | "c" :: _ -> ()
         | "p" :: "cnf" :: nv :: nc :: _ ->
             num_vars := (try int_of_string nv with _ -> fail "bad var count %S" nv);
             declared_clauses := (try int_of_string nc with _ -> fail "bad clause count %S" nc)
         | "p" :: _ -> fail "unsupported problem line %S" line
-        | "x" :: rest -> add_xor rest
-        | toks -> add_clause toks)
+        | "x" :: rest -> add_xor lineno rest
+        | toks -> add_clause lineno toks)
     lines;
   if !num_vars < 0 then fail "missing p cnf header";
+  List.iter (fun (lineno, v) -> check_var lineno v) (List.rev !deferred);
   ignore !declared_clauses;
   let sampling_set = if !have_sampling then Some (List.rev !sampling) else None in
   Formula.create_with_xors ?sampling_set ~num_vars:!num_vars

@@ -215,9 +215,12 @@ let sample_batch ?deadline ?max_attempts ?pool ?(jobs = 1) ~seed t n =
    import; kappa/pivot determine hi/lo/hi_limit, so the thresholds are
    re-derived rather than trusted from the serialized form. Draws
    depend only on (phase, hash_density, sampling set, thresholds,
-   engine flags, formula), all of which the round trip preserves
-   exactly — witnesses from an imported state are bit-identical to the
-   original's (the durable-store differential tests enforce this). *)
+   formula), all of which the round trip preserves exactly. The import
+   always runs the production configuration (warm sessions, in-search
+   Gauss): the reference engines draw bit-identical witnesses, so the
+   choice need not cross the boundary, and witnesses from an imported
+   state are bit-identical to the original's (the durable-store
+   differential tests enforce this). *)
 
 type portable_phase =
   | Portable_easy of { num_vars : int; models : int list list }
@@ -229,8 +232,6 @@ type portable = {
   p_kappa : float;
   p_pivot : int;
   p_hash_density : float;
-  p_incremental : bool;
-  p_gauss : bool;
   p_phase : portable_phase;
 }
 
@@ -239,8 +240,6 @@ let export t =
     p_kappa = t.kappa;
     p_pivot = t.pivot;
     p_hash_density = t.hash_density;
-    p_incremental = t.incremental;
-    p_gauss = t.gauss;
     p_phase =
       (match t.phase with
       | Easy models ->
@@ -288,12 +287,11 @@ let import ~formula p =
     hi_limit;
     hash_density = p.p_hash_density;
     phase;
-    incremental = p.p_incremental;
-    gauss = p.p_gauss;
+    incremental = true;
+    gauss = true;
     session_key =
       Domain.DLS.new_key (fun () ->
-          Sat.Bsat.Session.create ~blocking_vars:sampling ~gauss:p.p_gauss
-            formula);
+          Sat.Bsat.Session.create ~blocking_vars:sampling formula);
     stats = Sampler.fresh_stats ();
   }
 
@@ -307,8 +305,6 @@ let q_range t =
   match t.phase with Easy _ -> None | Hashed { q; _ } -> Some (q - 3, q)
 
 let is_easy t = match t.phase with Easy _ -> true | Hashed _ -> false
-let is_incremental t = t.incremental
-let is_gauss t = t.gauss
 
 let count_estimate t =
   match t.phase with

@@ -58,8 +58,13 @@ val prepare :
     [~gauss:false] — a static RREF followed by parity 2-watch
     propagation (the differential reference engine). Witnesses are
     bit-identical across the two engines.
-    [jobs]/[pool] parallelise the ApproxMC counting iterations (each is
-    an independent XOR-hashed count); see {!Counting.Approxmc.count}.
+    Both [~incremental:false] and [~gauss:false] exist as differential
+    oracles for the tests and the bench; the CLI, the daemon and the
+    store always run the defaults.
+    [jobs]/[pool] choose where the ApproxMC counting iterations run
+    (each is an independent XOR-hashed count on its own stream); the
+    preparation is identical for every value, see
+    {!Counting.Approxmc.count}.
     @raise Invalid_argument when [epsilon <= 1.71]. *)
 
 val sample : ?deadline:float -> rng:Rng.t -> prepared -> Sampler.outcome
@@ -136,8 +141,6 @@ type portable = {
   p_kappa : float;
   p_pivot : int;
   p_hash_density : float;
-  p_incremental : bool;
-  p_gauss : bool;
   p_phase : portable_phase;
 }
 
@@ -148,7 +151,12 @@ val import : formula:Cnf.Formula.t -> portable -> prepared
 (** Rebuild a live prepared state around [formula] — which must be the
     same canonical formula the exported state was prepared from (the
     caller verifies this via the registry fingerprint in its store
-    key). Fresh per-domain solver sessions and zeroed stats.
+    key). Fresh per-domain solver sessions and zeroed stats. The
+    rebuilt state always runs the production configuration (warm
+    sessions, in-search Gauss), whatever [incremental]/[gauss] the
+    original was prepared with: that is sound because both reference
+    paths draw bit-identical witnesses, so the portable view does not
+    carry them.
     @raise Invalid_argument when an easy-phase model list is malformed
     (negative [num_vars] or a literal out of range). *)
 
@@ -167,11 +175,6 @@ val q_range : prepared -> (int * int) option
     (|R_F| ≤ hiThresh, where witnesses are enumerated outright). *)
 
 val is_easy : prepared -> bool
-val is_incremental : prepared -> bool
-
-val is_gauss : prepared -> bool
-(** [true] when BSAT calls run the in-search Gauss engine (see
-    {!prepare}'s [gauss]). *)
 
 val count_estimate : prepared -> float
 (** ApproxMC's estimate of |R_F| (exact in the easy case). *)

@@ -93,26 +93,35 @@ let core ?deadline ?(incremental = true) ?(gauss = true) ~rng ~pivot ~start f =
   { co_res = res; co_stats = !stats; co_reuse = !reuse }
 
 (* The t ApproxMCCore iterations are mutually independent XOR-hashed
-   counts, so they parallelise without changing the estimator: run
-   iteration [i] on the private stream (master, i) and take the median
-   over the index-ordered successes. The estimate is then a pure
-   function of the master seed — identical for every worker count. *)
-let iterate_parallel ?deadline ?jobs ?pool ~incremental ~gauss ~rng ~pivot ~t f =
+   counts: iteration [i] runs on the private stream (master, i) and the
+   median is taken over the index-ordered successes, so the estimate is
+   a pure function of the master seed whichever domains run the
+   iterations. [leapfrog] is inherently sequential (each start depends
+   on the previous success), so it walks the same streams serially. *)
+let iterate ?deadline ~leapfrog ?jobs ?pool ~incremental ~gauss ~rng ~pivot ~t f =
   let master = Int64.to_int (Rng.bits64 rng) land max_int in
-  let one index =
+  let run ~start index =
     let rng = Rng.of_stream ~seed:master index in
-    match core ?deadline ~incremental ~gauss ~rng ~pivot ~start:1 f with
-    | { co_res = Some e; co_stats; co_reuse } -> `Estimate (e, co_stats, co_reuse)
-    | { co_res = None; co_stats; co_reuse } -> `Failed (co_stats, co_reuse)
-    | exception Deadline -> `Deadline
+    core ?deadline ~incremental ~gauss ~rng ~pivot ~start f
   in
   let indices = Array.init t Fun.id in
-  match (pool, jobs) with
-  | Some p, _ -> Parallel.Domain_pool.map p one indices
-  | None, Some jobs when jobs > 1 ->
-      Parallel.Domain_pool.with_pool ~jobs (fun p ->
-          Parallel.Domain_pool.map p one indices)
-  | None, _ -> Array.map one indices
+  if leapfrog then begin
+    let prev_i = ref 1 in
+    Array.map
+      (fun index ->
+        let co = run ~start:(max 1 (!prev_i - 1)) index in
+        Option.iter (fun (_, i) -> prev_i := i) co.co_res;
+        co)
+      indices
+  end
+  else
+    let one index = run ~start:1 index in
+    match (pool, jobs) with
+    | Some p, _ -> Parallel.Domain_pool.map p one indices
+    | None, Some jobs when jobs > 1 ->
+        Parallel.Domain_pool.with_pool ~jobs (fun p ->
+            Parallel.Domain_pool.map p one indices)
+    | None, _ -> Array.map one indices
 
 let count ?deadline ?(leapfrog = false) ?(incremental = true) ?(gauss = true)
     ?iterations ?jobs ?pool ~rng ~epsilon ~delta f =
@@ -141,46 +150,22 @@ let count ?deadline ?(leapfrog = false) ?(incremental = true) ?(gauss = true)
             reuse_hits = 0;
           }
       else begin
+        let outcomes =
+          iterate ?deadline ~leapfrog ?jobs ?pool ~incremental ~gauss ~rng
+            ~pivot ~t f
+        in
         let estimates = ref [] in
         let failures = ref 0 in
         let agg_stats = ref out.Sat.Bsat.stats in
         let reuse_hits = ref 0 in
-        let fold st ru =
-          agg_stats := Sat.Solver.stats_add !agg_stats st;
-          reuse_hits := !reuse_hits + ru
-        in
-        if (jobs <> None || pool <> None) && not leapfrog then begin
-          (* deterministic stream-per-iteration discipline; leapfrog is
-             inherently sequential (each start depends on the previous
-             iteration) and keeps the serial path below *)
-          let outcomes =
-            iterate_parallel ?deadline ?jobs ?pool ~incremental ~gauss ~rng ~pivot
-              ~t f
-          in
-          Array.iter
-            (function
-              | `Estimate ((e, _), st, ru) ->
-                  fold st ru;
-                  estimates := e :: !estimates
-              | `Failed (st, ru) ->
-                  fold st ru;
-                  incr failures
-              | `Deadline -> raise Deadline)
-            outcomes
-        end
-        else begin
-          let prev_i = ref 1 in
-          for _ = 1 to t do
-            let start = if leapfrog then max 1 (!prev_i - 1) else 1 in
-            let co = core ?deadline ~incremental ~gauss ~rng ~pivot ~start f in
-            fold co.co_stats co.co_reuse;
+        Array.iter
+          (fun co ->
+            agg_stats := Sat.Solver.stats_add !agg_stats co.co_stats;
+            reuse_hits := !reuse_hits + co.co_reuse;
             match co.co_res with
-            | Some (e, i) ->
-                prev_i := i;
-                estimates := e :: !estimates
-            | None -> incr failures
-          done
-        end;
+            | Some (e, _) -> estimates := e :: !estimates
+            | None -> incr failures)
+          outcomes;
         match !estimates with
         | [] -> Error Timed_out (* all iterations failed: no usable estimate *)
         | es ->

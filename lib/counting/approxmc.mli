@@ -68,14 +68,12 @@ val count :
     [iterations] overrides {!iterations_of_delta} (used by benches to
     trade confidence for time; the default is the faithful value).
 
-    [jobs]/[pool] switch the median loop to the parallel discipline:
-    one master seed is drawn from [rng], iteration [i] runs on the
-    private stream [(master, i)] (see {!Rng.of_stream}), and the
-    iterations execute across the pool ([jobs] fresh workers, or a
-    caller-owned pool). Because each iteration is an independent
-    XOR-hashed count and the median is taken over index-ordered
-    results, the estimate is a pure function of [rng]'s state —
-    identical for [~jobs:1] and [~jobs:n]. Omitting both keeps the
-    legacy single-stream serial draw order. [leapfrog] forces the
-    serial path (each iteration's start depends on the previous one).
+    Draw order: one master seed is drawn from [rng] and iteration [i]
+    runs on the private stream [(master, i)] (see {!Rng.of_stream});
+    the median is taken over the index-ordered results, so the estimate
+    is a pure function of [rng]'s state. [jobs]/[pool] choose only where
+    the iterations run ([jobs] fresh workers, or a caller-owned pool;
+    serial when both are omitted) — the estimate is identical for every
+    value. [leapfrog] walks the same streams serially (each iteration's
+    start depends on the previous one).
     @raise Invalid_argument when [jobs < 1]. *)

@@ -47,6 +47,8 @@ type t = {
   queue : int Vec.t; (* scratch worklist of row ids *)
   mutable dirty : bool;
   mutable rebuilding : bool; (* next repair is a post-pop rebuild *)
+  mutable saved : (int * row array) list;
+      (* row copies taken by [save], innermost group level first *)
 }
 
 let lit_of_var v positive = (v lsl 1) lor (if positive then 0 else 1)
@@ -61,7 +63,8 @@ let create ~group =
     undo_row = Vec.create ~dummy:0 ();
     queue = Vec.create ~dummy:0 ();
     dirty = false;
-    rebuilding = false }
+    rebuilding = false;
+    saved = [] }
 
 let group m = m.xgroup
 let num_rows m = Vec.size m.rows
@@ -297,13 +300,35 @@ let cancel_to m ~trail_size =
   done;
   if !changed then m.dirty <- true
 
-let reset m =
+let save m ~level =
+  let copy r = { r with bits = Array.copy r.bits; queued = false } in
+  m.saved <- (level, Array.init (Vec.size m.rows) (fun i -> copy (Vec.get m.rows i)))
+             :: m.saved
+
+(* Back to the rows [save] copied at [level], when that copy is the
+   innermost and no row was added since. The copy was taken at the root
+   level, so its detached rows are satisfied by level-0 facts of lower
+   groups, which the pop keeps: they stay detached. Without a usable
+   copy the current rows stay (same row space, possibly another basis)
+   and all re-activate. Either way the next [repair] rebuilds against
+   the surviving assignment — from the same trail as at the push, a
+   replay of the saved state. *)
+let restore m ~level =
+  let restored =
+    match m.saved with
+    | (l, rows) :: rest when l = level ->
+        m.saved <- rest;
+        Array.length rows = Vec.size m.rows
+        && (Array.iteri (Vec.set m.rows) rows;
+            true)
+    | _ -> false
+  in
   Vec.clear m.undo_mark;
   Vec.clear m.undo_row;
   Vec.clear m.queue;
   for i = 0 to Vec.size m.rows - 1 do
     let r = Vec.get m.rows i in
-    r.active <- true;
+    if not restored then r.active <- true;
     r.queued <- false
   done;
   m.dirty <- true;

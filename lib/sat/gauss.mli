@@ -22,8 +22,9 @@
     [dirty] flag: the next [repair] call re-establishes watches, basic
     columns and pending units, so no bit-level undo of eliminations is
     needed (eliminations preserve the row space, and any basis is
-    valid). A group pop drops the popped group's matrix wholesale and
-    [reset]s the surviving ones, composing with the solver's
+    valid). A group push [save]s a copy of every surviving matrix's
+    rows; the matching pop drops the popped group's matrix wholesale
+    and [restore]s the surviving ones, composing with the solver's
     re-propagation from a cleared queue head.
 
     The engine is value-agnostic: callers pass the solver's [assigns]
@@ -89,11 +90,18 @@ val cancel_to : t -> trail_size:int -> unit
 (** The trail is being shrunk to [trail_size]: re-activate every row
     detached at a larger mark and mark the matrix dirty if any was. *)
 
-val reset : t -> unit
-(** After a group pop invalidated trail marks wholesale: re-activate
-    every row, clear the undo stack and mark the matrix dirty; the
-    next [repair] runs as a full rebuild (traced as
-    [gauss.matrix_rebuild]). *)
+val save : t -> level:int -> unit
+(** A group at [level] is being pushed: keep a copy of the rows as
+    they stand, for the matching {!restore}. *)
+
+val restore : t -> level:int -> unit
+(** After the pop of the group at [level] invalidated trail marks
+    wholesale: put back the rows {!save}d at [level] (when that copy is
+    the innermost one and no row was added since; otherwise re-activate
+    every row), clear the undo stack and mark the matrix dirty; the next
+    [repair] runs as a full rebuild (traced as [gauss.matrix_rebuild]).
+    With no level-0 assignment on either side of the push/pop, the
+    rebuilt matrix is bit-identical to the one [save] copied. *)
 
 val drop : t -> unit
 (** The owning group was popped and the matrix is being discarded:

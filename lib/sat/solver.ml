@@ -1266,7 +1266,9 @@ let push_group t =
         v
     | [] -> new_var t
   in
-  t.groups <- a :: t.groups
+  t.groups <- a :: t.groups;
+  let level = List.length t.groups in
+  List.iter (fun m -> Gauss.save m ~level) t.matrices
 
 let add_group_clause t lits =
   require_root t "Solver.add_group_clause";
@@ -1320,9 +1322,10 @@ let pop_group t =
       Vec.filter_in_place (fun (c : clause) -> not c.deleted) t.learnts;
       Vec.iter (fun (x : xor_constraint) -> if x.xgroup >= g then x.xdeleted <- true) t.xors;
       Vec.filter_in_place (fun (x : xor_constraint) -> not x.xdeleted) t.xors;
-      (* the popped group's matrix goes wholesale; survivors lose their
-         trail-based detach marks (the trail is about to be filtered and
-         re-propagated from qhead = 0), so they rebuild at next repair *)
+      (* the popped group's matrix goes wholesale; survivors get back
+         the rows saved at the push and lose their trail-based detach
+         marks (the trail is about to be filtered and re-propagated
+         from qhead = 0), so they rebuild at next repair *)
       t.matrices <-
         List.filter
           (fun m ->
@@ -1331,11 +1334,14 @@ let pop_group t =
               false
             end
             else begin
-              Gauss.reset m;
+              Gauss.restore m ~level:g;
               true
             end)
           t.matrices;
-      (* drop level-0 facts that depended on the group *)
+      (* drop level-0 facts that depended on the group. A surviving
+         fact keeps its group tag but not a Gauss row as reason: the
+         restored row may read differently, and a level-0 reason is
+         never materialized *)
       Vec.filter_in_place
         (fun l ->
           let v = lit_var l in
@@ -1346,7 +1352,12 @@ let pop_group t =
             Order_heap.insert t.order v;
             false
           end
-          else true)
+          else begin
+            (match t.reason.(v) with
+            | R_gauss _ -> t.reason.(v) <- No_reason
+            | _ -> ());
+            true
+          end)
         t.trail;
       t.qhead <- 0;
       t.free_act_vars <- a :: t.free_act_vars;

@@ -19,8 +19,9 @@
     turns into quarantine plus a clean re-preparation. *)
 
 val version : string
-(** ["unigen-prepared-v1"] — bumped whenever the payload schema or the
-    semantics of any field change. *)
+(** ["unigen-prepared-v2"] — bumped whenever the payload schema or the
+    semantics of any field change (v2 dropped the engine fields: every
+    rehydrated state runs the production configuration). *)
 
 val encode : Cache.key -> Cache.entry -> string
 (** Serialize an entry for {!Store.put}. [draws_served] is

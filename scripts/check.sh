@@ -53,41 +53,14 @@ echo "== dune runtest (audit mode)"
 # checks. A longer sweep period keeps the pass ~2x baseline cost.
 UNIGEN_AUDIT=1 UNIGEN_AUDIT_PERIOD=256 dune runtest --force
 
-echo "== xor engine differential (gauss vs --no-gauss, audit mode)"
+echo "== xor engine differential (gauss vs 2-watch reference, audit mode)"
 # The in-search Gauss engine and the static-RREF + 2-watch reference
-# must emit byte-identical witness streams and equal counts, with the
-# invariant sanitizer live on both engines (the gauss-* invariants
-# sweep the matrix state in-search).
-engine_dir=$(mktemp -d)
-cat > "$engine_dir/engine.cnf" <<'EOF'
-p cnf 8 4
-c ind 1 2 3 4 5 0
-1 2 3 0
--2 4 0
-x 5 6 0
-x 1 3 7 0
-EOF
-sample_with() {
-    UNIGEN_AUDIT=1 UNIGEN_AUDIT_PERIOD=16 dune exec bin/unigen_cli.exe -- \
-        sample "$engine_dir/engine.cnf" -n 8 -s 11 -j 2 "$@" \
-        | grep '^v '
-}
-sample_with                > "$engine_dir/gauss.witness"
-sample_with --no-gauss     > "$engine_dir/twowatch.witness"
-cmp -s "$engine_dir/gauss.witness" "$engine_dir/twowatch.witness" || {
-    echo "error: gauss and --no-gauss witness streams differ" >&2
-    diff "$engine_dir/gauss.witness" "$engine_dir/twowatch.witness" >&2 || true
-    exit 1
-}
-count_with() {
-    UNIGEN_AUDIT=1 UNIGEN_AUDIT_PERIOD=16 dune exec bin/unigen_cli.exe -- \
-        count "$engine_dir/engine.cnf" -s 11 "$@" | grep '^s mc '
-}
-[ "$(count_with)" = "$(count_with --no-gauss)" ] || {
-    echo "error: gauss and --no-gauss counts differ" >&2
-    exit 1
-}
-rm -rf "$engine_dir"
+# (reachable only through the library's [~gauss] argument) must emit
+# identical witness streams and equal counts, with the invariant
+# sanitizer live on both engines (the gauss-* invariants sweep the
+# matrix state in-search). test/test_differential.ml holds the cases.
+UNIGEN_AUDIT=1 UNIGEN_AUDIT_PERIOD=16 dune exec test/test_differential.exe -- \
+    test "xor engine"
 
 echo "== service smoke"
 # End-to-end daemon check over a real socket: start `unigen serve` on a
@@ -227,7 +200,7 @@ req_lines=$(grep -c '"event": "service.request"' "$log3" || true)
     cat "$log3" >&2
     exit 1
 }
-for key in ts level trace_id fingerprint outcome queue_ms prepare_ms draw_ms cache xor_engine; do
+for key in ts level trace_id fingerprint outcome queue_ms prepare_ms draw_ms cache; do
     [ "$(grep '"event": "service.request"' "$log3" | grep -c "\"$key\"")" = "2" ] || {
         echo "error: service.request log lines missing \"$key\"" >&2
         cat "$log3" >&2

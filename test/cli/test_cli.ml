@@ -127,6 +127,65 @@ let test_malformed_dimacs_error () =
   Alcotest.(check int) "exit 1" 1 code;
   Alcotest.(check bool) "error message" true (contains "error" text)
 
+let test_out_of_range_dimacs_error () =
+  (* a literal past the declared variable count is a clean parse error
+     (exit 1), not an uncaught exception *)
+  List.iter
+    (fun text ->
+      let path = temp_cnf text in
+      let code, out = run (Printf.sprintf "sample %s" path) in
+      Sys.remove path;
+      Alcotest.(check int) (text ^ ": exit 1") 1 code;
+      Alcotest.(check bool) (text ^ ": error message") true
+        (contains "error:" out))
+    [ "p cnf 2 1\n5 0\n"; "p cnf 2 1\nc ind 7 0\n1 0\n"; "p cnf 2 1\nx 1 9 0\n" ]
+
+(* Enough free sampling variables for the hashed case, so the
+   approximate count runs its stream-per-iteration median. *)
+let hashed_cnf =
+  "p cnf 12 3\nc ind 1 2 3 4 5 6 7 8 9 10 0\n1 2 3 0\n-4 5 6 0\n7 -8 0\n"
+
+let lines_with prefix text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l ->
+         String.length l >= String.length prefix
+         && String.sub l 0 (String.length prefix) = prefix)
+
+(* One draw order: omitting --jobs is --jobs 1, and every worker count
+   prints the same witnesses and the same estimate. *)
+let test_jobs_one_draw_order () =
+  let path = temp_cnf hashed_cnf in
+  let sample jobs =
+    let code, text = run (Printf.sprintf "sample %s -n 6 -s 9 %s" path jobs) in
+    Alcotest.(check int) ("sample exit 0 " ^ jobs) 0 code;
+    lines_with "v " text
+  in
+  let count jobs =
+    let code, text = run (Printf.sprintf "count %s -s 4 %s" path jobs) in
+    Alcotest.(check int) ("count exit 0 " ^ jobs) 0 code;
+    lines_with "s mc " text
+  in
+  let default = sample "" in
+  Alcotest.(check int) "six witnesses" 6 (List.length default);
+  Alcotest.(check (list string)) "no --jobs = --jobs 1" default (sample "--jobs 1");
+  Alcotest.(check (list string)) "no --jobs = --jobs 2" default (sample "--jobs 2");
+  let estimate = count "" in
+  Alcotest.(check int) "one estimate" 1 (List.length estimate);
+  Alcotest.(check (list string)) "count: no --jobs = --jobs 2" estimate
+    (count "--jobs 2");
+  Sys.remove path
+
+let test_rejected_flags () =
+  let path = temp_cnf hashed_cnf in
+  List.iter
+    (fun args ->
+      let code, _ = run (Printf.sprintf "%s %s" args path) in
+      Alcotest.(check bool) (args ^ " rejected") true (code <> 0))
+    [ "sample --jobs 0"; "count --jobs 0"; "sample --jobs -2";
+      "sample --no-gauss"; "sample --no-incremental"; "count --no-gauss";
+      "count --no-incremental" ];
+  Sys.remove path
+
 let test_bench_gen_unknown_instance () =
   let code, text = run "bench-gen no_such_instance" in
   Alcotest.(check int) "exit 1" 1 code;
@@ -148,5 +207,10 @@ let () =
           Alcotest.test_case "missing file" `Quick test_missing_file_error;
           Alcotest.test_case "malformed dimacs" `Quick test_malformed_dimacs_error;
           Alcotest.test_case "unknown instance" `Quick test_bench_gen_unknown_instance;
+          Alcotest.test_case "out-of-range dimacs" `Quick
+            test_out_of_range_dimacs_error;
+          Alcotest.test_case "one draw order across --jobs" `Quick
+            test_jobs_one_draw_order;
+          Alcotest.test_case "rejected flags" `Quick test_rejected_flags;
         ] );
     ]

@@ -276,6 +276,28 @@ let test_dimacs_errors () =
   (* bad token *)
   expect_error "p qbf 2 1\n1 0\n"
 
+(* Out-of-range variables are a parse error naming the line, never an
+   exception from Formula: one case per line kind. *)
+let test_dimacs_out_of_range () =
+  let expect_line_error s ~line =
+    match Cnf.Dimacs.parse_string s with
+    | _ -> Alcotest.failf "expected parse error on %S" s
+    | exception Cnf.Dimacs.Parse_error msg ->
+        let prefix = Printf.sprintf "line %d: " line in
+        Alcotest.(check string)
+          (Printf.sprintf "%S names line %d" s line)
+          prefix
+          (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+  in
+  expect_line_error "p cnf 2 1\n5 0\n" ~line:2;
+  expect_line_error "p cnf 2 1\n1 -5 0\n" ~line:2;
+  expect_line_error "p cnf 2 1\nc ind 7 0\n1 2 0\n" ~line:2;
+  expect_line_error "p cnf 2 1\nc ind -1 0\n1 2 0\n" ~line:2;
+  expect_line_error "p cnf 2 1\n1 2 0\nx 1 9 0\n" ~line:3;
+  expect_line_error "p cnf 2 1\n1 0 2 0\n" ~line:2;
+  (* a clause before the header is checked against the header's count *)
+  expect_line_error "3 0\np cnf 2 1\n" ~line:1
+
 let test_dimacs_file_io () =
   let f = Cnf.Formula.create ~num_vars:2 [ Cnf.Clause.of_dimacs [ 1; 2 ] ] in
   let path = Filename.temp_file "unigen_test" ".cnf" in
@@ -424,6 +446,8 @@ let () =
           Alcotest.test_case "parse ind" `Quick test_dimacs_parse_ind_line;
           Alcotest.test_case "parse xor" `Quick test_dimacs_parse_xor_line;
           Alcotest.test_case "errors" `Quick test_dimacs_errors;
+          Alcotest.test_case "out-of-range variables" `Quick
+            test_dimacs_out_of_range;
           Alcotest.test_case "file io" `Quick test_dimacs_file_io;
         ] );
       ("properties", qcheck_cases);

@@ -82,6 +82,53 @@ let prop_batch_jobs_differential =
           in
           run 1 = run 2)
 
+(* XOR engine differential: in-search Gauss (production) against the
+   static-RREF + parity 2-watch reference, reachable only through the
+   [~gauss] argument. Witness streams and estimates must be identical;
+   check.sh reruns this suite with the invariant sanitizer live. The
+   second formula is hashed and carries base XORs, so layer pushes and
+   pops run against a live base matrix. *)
+let engine_formulas =
+  [
+    ( "engine.cnf",
+      "p cnf 8 4\nc ind 1 2 3 4 5 0\n1 2 3 0\n-2 4 0\nx 5 6 0\nx 1 3 7 0\n" );
+    ( "hashed with base xors",
+      "p cnf 12 4\nc ind 1 2 3 4 5 6 7 8 9 10 0\n1 2 3 0\n-4 5 6 0\n\
+       x 5 7 9 11 0\nx 2 8 12 0\n" );
+  ]
+
+let test_xor_engine_differential () =
+  List.iter
+    (fun (name, text) ->
+      let f = Cnf.Dimacs.parse_string text in
+      let witnesses ~gauss =
+        match
+          Sampling.Unigen.prepare ~gauss ~rng:(Rng.create 11) ~epsilon:6.0 f
+        with
+        | Error _ -> Alcotest.failf "%s: preparation failed" name
+        | Ok p ->
+            Array.to_list
+              (Array.map
+                 (function Ok m -> Cnf.Model.to_dimacs m | Error _ -> [])
+                 (Sampling.Unigen.sample_batch ~jobs:2 ~seed:11 p 8))
+      in
+      let estimate ~gauss =
+        match
+          Counting.Approxmc.count ~gauss ~rng:(Rng.create 11) ~epsilon:0.8
+            ~delta:0.2 f
+        with
+        | Ok r -> r.Counting.Approxmc.estimate
+        | Error _ -> Alcotest.failf "%s: count failed" name
+      in
+      let gauss = witnesses ~gauss:true in
+      Alcotest.(check int) (name ^ ": eight witnesses") 8
+        (List.length (List.filter (( <> ) []) gauss));
+      Alcotest.(check (list (list int))) (name ^ ": witnesses") gauss
+        (witnesses ~gauss:false);
+      Alcotest.(check (float 0.0)) (name ^ ": estimate") (estimate ~gauss:true)
+        (estimate ~gauss:false))
+    engine_formulas
+
 let () =
   Alcotest.run "differential"
     [
@@ -93,4 +140,9 @@ let () =
             prop_count_upto_caps_at_limit;
             prop_batch_jobs_differential;
           ] );
+      ( "xor engine",
+        [
+          Alcotest.test_case "gauss = 2-watch reference" `Quick
+            test_xor_engine_differential;
+        ] );
     ]

@@ -166,13 +166,7 @@ let same_row_space before after =
              && List.for_all (Cnf.Xor_gauss.implies xa) xb))
        before after
 
-let prop_pushpop_restores_matrix =
-  QCheck2.Test.make ~count:300
-    ~name:"group pop restores gauss matrix state"
-    ~print:(fun ((s, nv, nc, nx), g) ->
-      Printf.sprintf "spec=(%d,%d,%d,%d) gseed=%d" s nv nc nx g)
-    QCheck2.Gen.(tup2 Test_util.Gen.formula_spec (int_bound 1_000_000))
-    (fun (spec, gseed) ->
+let pushpop_restores_matrix (spec, gseed) =
       let f = Test_util.Gen.build_spec spec in
       let nv = f.Cnf.Formula.num_vars in
       let s = Sat.Solver.create f in
@@ -200,7 +194,31 @@ let prop_pushpop_restores_matrix =
           "assignment-free round-trip must restore the exact matrix dump";
       (* and the restored solver still answers like a fresh one *)
       let fresh = Sat.Solver.create f in
-      Sat.Solver.solve s = Sat.Solver.solve fresh)
+      Sat.Solver.solve s = Sat.Solver.solve fresh
+
+let print_pushpop ((s, nv, nc, nx), g) =
+  Printf.sprintf "spec=(%d,%d,%d,%d) gseed=%d" s nv nc nx g
+
+let prop_pushpop_restores_matrix =
+  QCheck2.Test.make ~count:300
+    ~name:"group pop restores gauss matrix state" ~print:print_pushpop
+    QCheck2.Gen.(tup2 Test_util.Gen.formula_spec (int_bound 1_000_000))
+    pushpop_restores_matrix
+
+(* Regression cases the property once shrank to. The first: base row
+   1+2+3=1 under the contradictory layer {x1=1, x1+x3=1, x1=0}, whose
+   propagation moved the base row's basic column from 1 to 2; the pop
+   must put it back. The second: an unsatisfiable base formula (never
+   repaired after the pop) whose satisfied row must stay detached. *)
+let test_pushpop_regressions () =
+  List.iter
+    (fun case ->
+      match pushpop_restores_matrix case with
+      | true -> ()
+      | false -> Alcotest.failf "%s: solver answer changed" (print_pushpop case)
+      | exception QCheck2.Test.Test_fail (_, msgs) ->
+          Alcotest.failf "%s: %s" (print_pushpop case) (String.concat "; " msgs))
+    [ ((228482, 3, 0, 1), 0); ((33340, 2, 1, 4), 0) ]
 
 (* ------------------------------------------------------------------ *)
 (* Engine differential: enumeration outcomes are bit-identical between
@@ -291,6 +309,11 @@ let () =
   Alcotest.run "gauss"
     [
       ("properties", qcheck_cases);
+      ( "regressions",
+        [
+          Alcotest.test_case "group pop restores shrunk cases" `Quick
+            test_pushpop_regressions;
+        ] );
       ( "observability",
         [
           Alcotest.test_case "gauss counters surface" `Quick

@@ -262,23 +262,36 @@ let test_approxmc_jobs_invariance () =
     r2.Counting.Approxmc.core_iterations
 
 let test_prepare_with_parallel_counting () =
-  (* prepare ~jobs parallelises the ApproxMC call; the derived hash
-     window must be jobs-invariant *)
-  let f = Cnf.Formula.create ~num_vars:10 [ clause [ 1; 2 ] ] in
-  let prep jobs =
-    match
-      Sampling.Unigen.prepare ~count_iterations:7 ~jobs ~rng:(Rng.create 11)
-        ~epsilon:6.0 f
-    with
-    | Ok p -> p
-    | Error _ -> Alcotest.fail "prepare failed"
+  (* ApproxMC has one draw order (iteration i on stream (master, i)):
+     the derived hash window and count are the same whether the
+     iterations run inline (no [jobs]), on one worker, or on two *)
+  let check name ?count_iterations ~prepare_seed f =
+    let prep jobs =
+      match
+        Sampling.Unigen.prepare ?count_iterations ?jobs
+          ~rng:(Rng.create prepare_seed) ~epsilon:6.0 f
+      with
+      | Ok p -> p
+      | Error _ -> Alcotest.failf "%s: prepare failed" name
+    in
+    let p0 = prep None in
+    List.iter
+      (fun jobs ->
+        let p = prep (Some jobs) in
+        let label what = Printf.sprintf "%s: %s, jobs %d = no jobs" name what jobs in
+        Alcotest.(check (option (pair int int))) (label "q range")
+          (Sampling.Unigen.q_range p0) (Sampling.Unigen.q_range p);
+        Alcotest.(check (float 0.0)) (label "count estimate")
+          (Sampling.Unigen.count_estimate p0)
+          (Sampling.Unigen.count_estimate p))
+      [ 1; 2 ]
   in
-  let p1 = prep 1 and p2 = prep 2 in
-  Alcotest.(check (option (pair int int))) "q range jobs 2 = jobs 1"
-    (Sampling.Unigen.q_range p1) (Sampling.Unigen.q_range p2);
-  Alcotest.(check (float 0.0)) "count estimate equal"
-    (Sampling.Unigen.count_estimate p1)
-    (Sampling.Unigen.count_estimate p2)
+  check "free 10-var clause" ~count_iterations:7 ~prepare_seed:11
+    (Cnf.Formula.create ~num_vars:10 [ clause [ 1; 2 ] ]);
+  (* a case where a shared-stream median once disagreed (264 vs 248) *)
+  match Workload.Suite.by_name "mult_eq_4" with
+  | Some inst -> check "mult_eq_4" ~prepare_seed:2 (Lazy.force inst.Workload.Suite.formula)
+  | None -> Alcotest.fail "mult_eq_4 missing from the suite"
 
 (* ------------------------------------------------------------------ *)
 (* Statistics on the parallel path *)

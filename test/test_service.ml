@@ -310,7 +310,7 @@ let test_wire_json_roundtrip () =
       Wire.Metrics
         {
           values = [ ("service.requests", 3.0); ("service.queue_depth", 0.0) ];
-          info = [ ("xor_engine", "gauss"); ("ocaml_version", "5.1.0") ];
+          info = [ ("ocaml_version", "5.1.0"); ("shard", "0/2") ];
         };
       Wire.Window_report
         {
@@ -319,7 +319,6 @@ let test_wire_json_roundtrip () =
           jobs = 2;
           w_in_flight = 1;
           w_queued = 0;
-          xor_engine = "gauss";
           ocaml_version = "5.1.0";
           w_requests = 7;
           rate_per_s = 0.25;
@@ -859,15 +858,12 @@ let easy_text = "p cnf 3 2\nc ind 1 2 0\n1 2 0\n-1 -2 0\n"
 let hashed_text =
   "p cnf 12 3\nc ind 1 2 3 4 5 6 7 8 9 10 0\n1 2 3 0\n-4 5 6 0\n7 -8 0\n"
 
-let cache_key ?(epsilon = 6.0) ?(prepare_seed = 5) ?count_iterations
-    ?(incremental = true) ?(gauss = true) f =
+let cache_key ?(epsilon = 6.0) ?(prepare_seed = 5) ?count_iterations f =
   {
     Cache.fingerprint = Registry.fingerprint f;
     epsilon;
     prepare_seed;
     count_iterations;
-    incremental;
-    gauss;
   }
 
 let prepared_entry ?(epsilon = 6.0) ?(prepare_seed = 5) f =
@@ -937,8 +933,6 @@ let test_spill_decode_paranoia () =
   rejects "count-iterations drift"
     { key with Cache.count_iterations = Some 3 }
     payload;
-  rejects "engine drift" { key with Cache.gauss = false } payload;
-  rejects "incremental drift" { key with Cache.incremental = false } payload;
   rejects "fingerprint drift"
     { key with Cache.fingerprint = String.make 32 '0' }
     payload;
@@ -1050,6 +1044,44 @@ let test_scheduler_restart_corrupt_spill () =
   Alcotest.(check int) "both corruptions counted" 2
     (metric_counter "store.corrupt" - corrupt_before);
   Alcotest.(check bool) "evidence still present" true (quarantined dir >= 1)
+
+(* v2 of the spill codec dropped the engine fields. A payload in the v1
+   shape (the same fields plus [incremental] / [xor_engine]) is refused
+   by version, quarantined, and replaced by a clean preparation. *)
+let test_spill_v1_payload_rejected () =
+  Obs.Metrics.enable ();
+  with_spill_dir @@ fun dir ->
+  let f = formula_of_string hashed_text in
+  let key = cache_key f in
+  let v1 =
+    match Json.of_string (Spill.encode key (prepared_entry f)) with
+    | Json.Obj fields ->
+        Json.to_string
+          (Json.Obj
+             (List.map
+                (function
+                  | "version", _ -> ("version", Json.Str "unigen-prepared-v1")
+                  | kv -> kv)
+                fields
+             @ [ ("incremental", Json.Bool true); ("xor_engine", Json.Str "gauss") ]
+             ))
+    | _ -> Alcotest.fail "payload is not a JSON object"
+  in
+  (match Spill.decode key v1 with
+  | Error reason ->
+      Alcotest.(check string) "refused by version"
+        "codec version mismatch: unigen-prepared-v1" reason
+  | Ok _ -> Alcotest.fail "v1 payload accepted");
+  Store.put (Store.create ~dir ()) ~key:(Cache.key_to_string key) v1;
+  let req = sample_request ~n:6 ~seed:33 ~prepare_seed:5 f in
+  let src, w = generation dir req in
+  Alcotest.(check bool) "v1 entry falls back to a clean miss" true
+    (src = Wire.Cache_miss);
+  Alcotest.(check int) "v1 entry quarantined" 1 (quarantined dir);
+  let src2, w2 = generation dir req in
+  Alcotest.(check bool) "re-spilled v2 entry is disk-warm" true
+    (src2 = Wire.Cache_disk);
+  Alcotest.(check (list (list int))) "same witnesses" w w2
 
 (* ------------------------------------------------------------------ *)
 (* Client-side fleet machinery: retry with backpressure-aware backoff,
@@ -1295,9 +1327,6 @@ let test_socket_end_to_end () =
             | None -> false);
           (* provenance travels with the status answer *)
           Alcotest.(check (option string))
-            "xor engine reported" (Some "gauss")
-            (List.assoc_opt "xor_engine" info);
-          Alcotest.(check (option string))
             "ocaml version reported" (Some Sys.ocaml_version)
             (List.assoc_opt "ocaml_version" info);
           Alcotest.(check bool) "uptime reported" true
@@ -1314,7 +1343,6 @@ let test_socket_end_to_end () =
             (w.Wire.w_hits >= 1);
           Alcotest.(check bool) "percentiles monotone" true
             (w.Wire.p50_ms <= w.Wire.p90_ms && w.Wire.p90_ms <= w.Wire.p99_ms);
-          Alcotest.(check string) "engine name" "gauss" w.Wire.xor_engine;
           Alcotest.(check bool) "per-fingerprint row present" true
             (match w.Wire.per_fp with
             | f :: _ -> f.Wire.fp_requests >= 2
@@ -1365,6 +1393,24 @@ let with_daemon ?(scheduler = Scheduler.default_config) f =
       done;
       Alcotest.(check bool) "daemon came up" true (Sys.file_exists socket_path);
       f ~socket_path ~pid
+
+(* Hostile input: a formula naming variables past its header is a
+   structured error, and the daemon keeps serving afterwards. *)
+let test_out_of_range_formula_survives () =
+  with_daemon @@ fun ~socket_path ~pid:_ ->
+  Service.Client.with_connection ~socket_path @@ fun conn ->
+  List.iter
+    (fun text ->
+      match
+        Service.Client.request conn
+          (Wire.Sample { Wire.default_sample_req with Wire.formula_text = text })
+      with
+      | Wire.Error_msg _ -> ()
+      | _ -> Alcotest.failf "%S: expected Error_msg" text)
+    [ "p cnf 2 1\n5 0\n"; "p cnf 2 1\nc ind 7 0\n1 0\n"; "p cnf 2 1\nx 1 9 0\n" ];
+  match Service.Client.request conn Wire.Status with
+  | Wire.Metrics _ -> ()
+  | _ -> Alcotest.fail "daemon must still answer status"
 
 let test_chaos_abrupt_disconnect_socket () =
   with_daemon ~scheduler:(parallel_config 2) @@ fun ~socket_path ~pid ->
@@ -1582,6 +1628,8 @@ let () =
             test_scheduler_restart_disk_warm;
           Alcotest.test_case "corrupt spill quarantined" `Quick
             test_scheduler_restart_corrupt_spill;
+          Alcotest.test_case "v1 payload rejected" `Quick
+            test_spill_v1_payload_rejected;
         ] );
       ( "client",
         [
@@ -1597,6 +1645,8 @@ let () =
           Alcotest.test_case "socket end to end" `Quick test_socket_end_to_end;
           Alcotest.test_case "chaos: abrupt disconnect under parallelism" `Quick
             test_chaos_abrupt_disconnect_socket;
+          Alcotest.test_case "out-of-range formula survives" `Quick
+            test_out_of_range_formula_survives;
           Alcotest.test_case "fleet end to end" `Quick test_fleet_end_to_end;
         ] );
       ( "parallel",
