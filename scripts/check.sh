@@ -60,7 +60,7 @@ echo "== xor engine differential (gauss vs 2-watch reference, audit mode)"
 # sanitizer live on both engines (the gauss-* invariants sweep the
 # matrix state in-search). test/test_differential.ml holds the cases.
 UNIGEN_AUDIT=1 UNIGEN_AUDIT_PERIOD=16 dune exec test/test_differential.exe -- \
-    test "xor engine"
+    test "xor"
 
 echo "== service smoke"
 # End-to-end daemon check over a real socket: start `unigen serve` on a

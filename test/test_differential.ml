@@ -140,7 +140,7 @@ let () =
             prop_count_upto_caps_at_limit;
             prop_batch_jobs_differential;
           ] );
-      ( "xor engine",
+      ( "xor",
         [
           Alcotest.test_case "gauss = 2-watch reference" `Quick
             test_xor_engine_differential;
